@@ -195,13 +195,17 @@ Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
 //                             never attributed to another op.
 //   wrong record size         the reply correlated, so only that op fails;
 //                             the link's framing is intact and stays up.
-//   send failure on shard k   that op fails immediately; replies already
-//                             owed by shards 0..k-1 are stale-dropped by
-//                             id, so the next request is not poisoned.
+//   send failure on shard k   that op fails, together with every other
+//                             op the failed stream carried; replies
+//                             already owed by shards 0..k-1 are
+//                             stale-dropped by id, so the next request is
+//                             not poisoned.
 //   transport error / shard   the stream is desynced (error frames carry
-//   error frame               no request id): every op awaiting the link
-//                             fails, the link closes and — with a redial
-//                             factory — a fresh connection is dialed.
+//   error frame               no request id): every op that stream carried
+//                             (sent or queued on it) fails, the link closes
+//                             and — with a redial factory — a fresh
+//                             connection is dialed. Ops queued after the
+//                             failure ride the fresh stream untouched.
 //   per-op deadline           the expiry sweeper fails the op with
 //                             DEADLINE_EXCEEDED; a reply that limps in
 //                             later is a stale drop.
@@ -212,7 +216,12 @@ class ShardFanout::Mux {
   // owe a reply, and the completion callback.
   struct Op {
     Bytes acc;
-    std::vector<bool> awaiting;
+    // Per link: the stream that carries this op's sub-query and owes its
+    // reply; 0 before the link queues it (no reply can come yet) and after
+    // the reply. A link-down fails only the ops of the stream that went
+    // down; the record lives and dies with the op, so it is bounded by the
+    // ops in flight.
+    std::vector<std::uint64_t> stream;
     std::size_t remaining = 0;
     AnswerCallback done;
     bool has_deadline = false;
@@ -220,8 +229,10 @@ class ShardFanout::Mux {
     std::chrono::nanoseconds start{};
   };
 
-  // One shard link. Enqueue never blocks the caller; failures are routed
-  // back through FailOp/OnLinkDown.
+  // One shard link. Enqueue never blocks the caller; it names the stream
+  // that carries the op via Carry, and failures are routed back through
+  // FailOp/OnLinkDown. A link may hold its own mutex while calling Carry
+  // (the Mux never calls a link under mu_).
   class Link {
    public:
     virtual ~Link() = default;
@@ -273,7 +284,7 @@ class ShardFanout::Mux {
         if (next_id_ == 0) next_id_ = 1;  // id 0 stays reserved on wrap
         Op op;
         op.acc.assign(topology_.record_size, 0);
-        op.awaiting.assign(n, true);
+        op.stream.assign(n, 0);
         op.remaining = n;
         op.done = std::move(done);
         op.start = clock_->Now();
@@ -314,7 +325,7 @@ class ShardFanout::Mux {
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = ops_.find(response->request_id);
-      if (it == ops_.end() || !it->second.awaiting[link]) {
+      if (it == ops_.end() || it->second.stream[link] == 0) {
         // Late or duplicate: the op already completed (deadline, another
         // link's failure) or this link already answered it. Correlation
         // by id means we drop it here instead of handing it to the next
@@ -323,7 +334,7 @@ class ShardFanout::Mux {
         return Status::Ok();
       }
       Op& op = it->second;
-      op.awaiting[link] = false;
+      op.stream[link] = 0;
       if (response->body.size() != topology_.record_size) {
         // Correlated but broken: the framing is intact, so fail only this
         // op and keep the link.
@@ -366,14 +377,24 @@ class ShardFanout::Mux {
     op->done(ShardStatus(link, why));
   }
 
-  // The link's stream is gone or desynced: every op still awaiting it
-  // fails now, rather than reading someone else's reply later.
-  void OnLinkDown(std::size_t link, const Status& why) {
+  // Op `op_id`'s sub-query for `link` was sent or queued on `stream`
+  // (a link-chosen id, unique per link and never 0).
+  void Carry(std::uint32_t op_id, std::size_t link, std::uint64_t stream) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = ops_.find(op_id);
+    if (it != ops_.end()) it->second.stream[link] = stream;
+  }
+
+  // `stream` on `link` is gone or desynced: every op it carried that still
+  // awaits the link fails now, rather than reading someone else's reply
+  // later. Ops queued on a later stream — issued after an earlier failure
+  // was reported, say — are not this stream's and stay pending.
+  void OnLinkDown(std::size_t link, std::uint64_t stream, const Status& why) {
     std::vector<Op> hit;
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto it = ops_.begin(); it != ops_.end();) {
-        if (it->second.awaiting[link]) {
+        if (it->second.stream[link] == stream) {
           hit.push_back(std::move(it->second));
           it = ops_.erase(it);
         } else {
@@ -512,6 +533,7 @@ class TransportLink final : public ShardFanout::Mux::Link {
       // stream is installed (the op deadline bounds the wait either way).
       if (!stopping_ && (transport_ != nullptr || redial_)) {
         outbox_.push_back({op_id, std::move(frame)});
+        mux_->Carry(op_id, index_, stream_);
         cv_.notify_all();
         return;
       }
@@ -586,33 +608,38 @@ class TransportLink final : public ShardFanout::Mux::Link {
       // it keeps only this writer busy, and Shutdown's Close unblocks it.
       const Status s = t->Send(frame, net::Deadline::Infinite());
       if (!s.ok()) {
-        // The op cannot complete (this shard never saw its sub-query) —
-        // fail it directly rather than relying on Reset's OnLinkDown,
-        // which no-ops if another thread already swapped the transport.
-        // Replies other shards already owe the op become stale drops.
-        mux_->FailOp(op_id, index_, s);
-        // A failed send may leave the stream mid-frame: reset the link.
+        // A failed send may leave the stream mid-frame: reset the link
+        // first, so that by the time the caller learns of the failure the
+        // dead stream takes no more frames and its next op queues for the
+        // fresh one. The op cannot complete (this shard never saw its
+        // sub-query): this FailOp or the winning Reset's OnLinkDown,
+        // whichever comes first, fails it. Replies other shards already
+        // owe it become stale drops.
         Reset(t, s);
+        mux_->FailOp(op_id, index_, s);
       }
       lock.lock();
     }
   }
 
-  // Drops `failed` (if still current), fails every op awaiting this link,
+  // Drops `failed` (if still current), fails every op its stream carried,
   // and — with a factory — dials a replacement. Reader and writer both
   // funnel here; whichever loses the race becomes a no-op.
   void Reset(const std::shared_ptr<net::Transport>& failed,
              const Status& why) {
+    std::uint64_t down = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_ || transport_ != failed) return;
       transport_.reset();
-      // Queued frames belong to ops the OnLinkDown below is about to fail;
-      // sending them on a fresh stream would only produce stale replies.
+      // Queued frames belong to the failed stream, whose ops the OnLinkDown
+      // below fails; sending them on a fresh stream would only produce
+      // stale replies. Frames queued from here on are the next stream's.
       outbox_.clear();
+      down = stream_++;
     }
     failed->Close();
-    mux_->OnLinkDown(index_, why);
+    mux_->OnLinkDown(index_, down, why);
     if (!redial_) return;
     auto fresh = redial_();
     if (!fresh.ok()) return;  // stays down; ops fail fast in Enqueue
@@ -636,6 +663,8 @@ class TransportLink final : public ShardFanout::Mux::Link {
   // Reset swaps it; the failed instance stays alive until both let go.
   std::shared_ptr<net::Transport> transport_;
   std::deque<std::pair<std::uint32_t, net::Frame>> outbox_;
+  // The stream outbox_ frames go out on (Mux::Carry ids); bumped by Reset.
+  std::uint64_t stream_ = 1;
   bool stopping_ = false;
 
   std::thread reader_;
@@ -665,9 +694,9 @@ class ReactorLink final : public ShardFanout::Mux::Link {
       const Status s = mux_->OnReply(index_, std::move(frame));
       if (!s.ok()) {
         // Desynced stream (uncorrelatable shard error frame): fail the
-        // ops awaiting us and drop the connection; the next op re-dials.
+        // ops sent on this connection and drop it; the next op re-dials.
         Forget(id);
-        mux_->OnLinkDown(index_, s);
+        mux_->OnLinkDown(index_, id, s);
         reactor_.Close(id);
       }
     };
@@ -677,7 +706,8 @@ class ReactorLink final : public ShardFanout::Mux::Link {
       // not stored the id yet (recorded so Dial does not adopt a corpse).
       if (Forget(id)) {
         mux_->OnLinkDown(
-            index_, why.ok() ? UnavailableError("shard link closed") : why);
+            index_, id,
+            why.ok() ? UnavailableError("shard link closed") : why);
       }
       std::lock_guard<std::mutex> lock(mu_);
       early_closed_.push_back(id);
@@ -716,20 +746,14 @@ class ReactorLink final : public ShardFanout::Mux::Link {
       // link get one fresh connection, not one each. Never taken by the
       // loop-thread callbacks, so it cannot deadlock against them.
       std::lock_guard<std::mutex> dial_lock(dial_mu_);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) {
-          conn = 0;
-        } else {
-          conn = conn_;
-        }
+      std::unique_lock<std::mutex> lock(mu_);
+      if (stopping_) {
+        lock.unlock();
+        mux_->FailOp(op_id, index_, UnavailableError("shard link shut down"));
+        return;
       }
-      if (conn == 0) {
-        if (stopped()) {
-          mux_->FailOp(op_id, index_,
-                       UnavailableError("shard link shut down"));
-          return;
-        }
+      if (conn_ == 0) {
+        lock.unlock();
         // Redial on demand: at most one dial per op against a down shard,
         // so a dead peer costs each request one failed connect, never a
         // reconnect storm.
@@ -739,11 +763,16 @@ class ReactorLink final : public ShardFanout::Mux::Link {
           return;
         }
         obs::M().fanout_redials.Inc();
-        std::lock_guard<std::mutex> lock(mu_);
-        conn = conn_;
+        lock.lock();
       }
+      // The connection id names the stream. Carry atomically with reading
+      // conn_: a close either forgets conn_ first (the op then fails
+      // below) or its OnLinkDown finds the op carried.
+      conn = conn_;
+      if (conn != 0) mux_->Carry(op_id, index_, conn);
     }
-    const Status sent = reactor_.Send(conn, frame);
+    const Status sent = conn == 0 ? UnavailableError("shard link closed")
+                                  : reactor_.Send(conn, frame);
     if (!sent.ok()) mux_->FailOp(op_id, index_, sent);
   }
 
@@ -768,11 +797,6 @@ class ReactorLink final : public ShardFanout::Mux::Link {
   }
 
  private:
-  bool stopped() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopping_;
-  }
-
   // Clears conn_ if it still names `id`; false means this close was
   // already handled (Shutdown or a newer dial took over), or the id was
   // never stored (the dial lost instantly).

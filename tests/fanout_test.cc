@@ -231,12 +231,14 @@ TEST(Fanout, OneShotShardErrorDoesNotPoisonSubsequentRequests) {
 
 TEST(Fanout, SendFailureOnOneShardFailsOpAndLateRepliesDrop) {
   TwoShards deployment;
-  // Shard 1's link dies on its first send (the Dying decorator's budget is
-  // consumed by the fan-out reader's eager receive plus this op's send):
-  // the op must fail immediately even though shard 0 already owes it a
-  // reply — and that reply must be stale-dropped, not left in the pipe to
-  // poison the next request (the old fan-out returned early from shard k's
-  // send failure with shards 0..k-1 still owing replies).
+  // Shard 1's link allows one operation, then dies. That operation is
+  // either the fan-out reader's eager receive, and then this op's send
+  // dies, or this op's send, and then the reader's receive dies and the op
+  // fails with its stream. Either way the op must fail immediately even
+  // though shard 0 already owes it a reply — and that reply must be
+  // stale-dropped, not left in the pipe to poison the next request (the
+  // old fan-out returned early from shard k's send failure with shards
+  // 0..k-1 still owing replies).
   FanoutOptions options;
   options.redial = {deployment.RedialFactory(0), deployment.RedialFactory(1)};
   std::vector<std::unique_ptr<net::Transport>> links;

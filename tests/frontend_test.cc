@@ -4,6 +4,10 @@
 // over 2^top_bits shard servers.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "net/tcp.h"
@@ -50,17 +54,80 @@ struct Deployment {
     return shards[shard]->Load(index, record);
   }
 
-  // Wires a fresh fan-out: one in-memory link per shard, each served by a
-  // detached shard thread.
+  // An in-memory link to shard `s`, served by a detached shard thread.
+  std::unique_ptr<net::Transport> ServedLink(std::size_t s) {
+    net::TransportPair pair = net::CreateInMemoryPair();
+    shards[s]->ServeConnectionDetached(std::move(pair.b));
+    return std::move(pair.a);
+  }
+
+  // Wires a fresh fan-out: one served link per shard.
   ShardFanout MakeFanout() {
     std::vector<std::unique_ptr<net::Transport>> links;
-    for (auto& shard : shards) {
-      net::TransportPair pair = net::CreateInMemoryPair();
-      shard->ServeConnectionDetached(std::move(pair.b));
-      links.push_back(std::move(pair.a));
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      links.push_back(ServedLink(s));
     }
     return ShardFanout(topology, std::move(links));
   }
+
+  // Fan-out options with a redial factory per shard that dials a fresh
+  // served link.
+  FanoutOptions Redialing() {
+    FanoutOptions options;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      options.redial.push_back(
+          [this, s]() -> Result<std::unique_ptr<net::Transport>> {
+            return ServedLink(s);
+          });
+    }
+    return options;
+  }
+};
+
+// Held shut by the test; CloseStallTransport::Close waits on it.
+struct CloseGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+// A shard link whose sends fail and whose Close() stalls until the gate
+// opens or a grace period passes. The fan-out link closes a failed stream
+// before it reports that stream's ops as failed, so the stall widens the
+// window in which the report of a link failure races the caller's next op.
+class CloseStallTransport final : public net::Transport {
+ public:
+  CloseStallTransport(std::unique_ptr<net::Transport> inner,
+                      std::shared_ptr<CloseGate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  using Transport::Receive;
+  using Transport::Send;
+
+  Status Send(const net::Frame&, const net::Deadline&) override {
+    return UnavailableError("injected send failure");
+  }
+  Result<net::Frame> Receive(const net::Deadline& deadline) override {
+    return inner_->Receive(deadline);
+  }
+  void Close() override {
+    {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      gate_->cv.wait_for(lock, std::chrono::milliseconds(200),
+                         [this] { return gate_->open; });
+    }
+    inner_->Close();
+  }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  std::shared_ptr<CloseGate> gate_;
 };
 
 TEST(ShardDataServer, LoadRejectsForeignIndices) {
@@ -117,6 +184,41 @@ TEST(ShardFanout, RejectsWrongDomain) {
   ShardFanout fanout = deployment.MakeFanout();
   const pir::QueryKeys q = pir::MakeIndexQuery(0, 10);  // wrong domain
   EXPECT_FALSE(fanout.Answer(q.key0).ok());
+}
+
+TEST(ShardFanout, OpIssuedAfterReportedLinkFailureRidesTheRedial) {
+  Deployment deployment;
+  ASSERT_TRUE(deployment.Publish("k", ToBytes("v")).ok());
+  const pir::QueryKeys q =
+      pir::MakeIndexQuery(deployment.mapper.IndexOf("k"), 12);
+  Result<Bytes> expected = deployment.MakeFanout().Answer(q.key1);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  auto gate = std::make_shared<CloseGate>();
+  std::vector<std::unique_ptr<net::Transport>> links;
+  for (std::size_t s = 0; s < deployment.shards.size(); ++s) {
+    links.push_back(deployment.ServedLink(s));
+  }
+  links[1] = std::make_unique<CloseStallTransport>(std::move(links[1]), gate);
+  ShardFanout fanout(deployment.topology, std::move(links),
+                     deployment.Redialing());
+
+  // Shard 1's send fails, so the op fails with its link.
+  const Result<Bytes> failed = fanout.Answer(q.key0);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+
+  // The failure has been reported. The next op is issued while the dead
+  // stream may still be closing; it belongs to the redialed link, so the
+  // old stream's teardown must not fail it with the old error.
+  std::promise<Result<Bytes>> next;
+  fanout.AnswerAsync(q.key1, [&next](Result<Bytes> r) {
+    next.set_value(std::move(r));
+  });
+  gate->Open();
+  const Result<Bytes> after = next.get_future().get();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, *expected);
 }
 
 TEST(FrontEnd, FullClientSessionAgainstShardedDeployment) {
